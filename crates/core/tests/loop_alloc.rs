@@ -10,8 +10,11 @@
 //! the *marginal* allocation cost of one extra press must stay under a
 //! budget the old allocate-per-step code could not meet.
 //!
-//! The probe counts every `alloc`/`realloc` call in the process, so the
-//! budget below is calibrated against what the rest of the step
+//! The probe counts every `alloc`/`realloc` call made on the calling
+//! thread (a `const`-initialised thread-local counter), so the tests in
+//! this binary can run in parallel without counting each other's
+//! allocations. The budget below is calibrated against what the rest of
+//! the step
 //! genuinely needs (the SUO's observation vector and its `String`
 //! payloads, channel traffic, the coverage snapshot). Measured on this
 //! scenario in release mode: ~175 allocation calls per closed-loop
@@ -20,19 +23,29 @@
 //! entry/exit actions from the machine instead of cloning them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use trader::{TimedScenario, TvDependabilityLoop};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: reading it never
+    // allocates, so the allocator itself may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` rather than `with`: a thread being torn down still
+    // allocates, and must not panic inside the allocator.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic with no effect on layout or pointers.
+// thread-local cell with no effect on layout or pointers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -41,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,11 +62,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation calls made by `f`.
+/// Allocation calls made by `f` on the calling thread.
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+    (ALLOCATIONS.with(Cell::get) - before, value)
 }
 
 /// Runs a healthy closed loop over `presses` presses and returns the
