@@ -8,7 +8,7 @@
 
 use awareness::{
     AwarenessMonitor, CompareSpec, Configuration, DeadlineMonitor, DetectedError, DiagnosisConfig,
-    MonitorBuilder, ProbeConfig, ProbeFiring, ProbeScheduler, SupervisorConfig,
+    MonitorBuilder, ProbeConfig, ProbeScheduler, SupervisorConfig,
 };
 use detect::{ConsistencyRule, Detector, ErrorEvent, ModeConsistencyDetector};
 use faults::injector::Transition;
@@ -159,53 +159,47 @@ impl Default for ProbesConfig {
     }
 }
 
-/// The registered self-check sequences, in rotation order. Each probe
-/// nudges a dormant function and restores (or symmetrically perturbs)
-/// its state, so the model executor tracks the SUO exactly and only a
-/// fault produces a comparator verdict.
-const PROBE_PLANS: &[(&str, &[Key])] = &[
-    ("sleep-timer", &[Key::Sleep]),
-    (
-        "volume-nudge",
-        &[Key::VolUp, Key::VolDown, Key::Mute, Key::Mute],
-    ),
-    (
-        "teletext-roundtrip",
-        &[
-            Key::Teletext,
-            Key::Digit(1),
-            Key::Digit(2),
-            Key::Digit(3),
-            Key::Teletext,
-        ],
-    ),
-    ("menu-toggle", &[Key::Menu, Key::Back]),
-    ("swivel-jog", &[Key::SwivelRight, Key::SwivelLeft]),
-    ("channel-flip", &[Key::ChannelUp, Key::ChannelDown]),
-];
+/// Declares the registered self-checks as one table: [`PROBES`] holds
+/// each probe's kind, keys and verdict stream, [`PROBE_FIRED`] its
+/// fired counter. Every stream name is spelled from the kind at compile
+/// time (flight-recorder names must be `'static`).
+macro_rules! probe_table {
+    ($($kind:literal => [$($key:expr),+],)+) => {
+        const PROBES: [(&str, &[Key], &str); 6] =
+            [$(($kind, &[$($key),+], concat!("core.probes.verdict.", $kind))),+];
+        /// Per-kind fired counters, in rotation order.
+        pub const PROBE_FIRED: [&str; 6] = [$(concat!("core.probes.fired.", $kind)),+];
+    };
+}
 
-/// Per-kind fired counters (flight-recorder names must be `'static`).
-pub const PROBE_FIRED: [&str; 6] = [
-    "core.probes.fired.sleep-timer",
-    "core.probes.fired.volume-nudge",
-    "core.probes.fired.teletext-roundtrip",
-    "core.probes.fired.menu-toggle",
-    "core.probes.fired.swivel-jog",
-    "core.probes.fired.channel-flip",
-];
+// The registered self-check sequences, in rotation order. Each probe
+// nudges a dormant function and restores (or symmetrically perturbs)
+// its state, so the model executor tracks the SUO exactly and only a
+// fault produces a comparator verdict.
+probe_table! {
+    "sleep-timer" => [Key::Sleep],
+    "volume-nudge" => [Key::VolUp, Key::VolDown, Key::Mute, Key::Mute],
+    "teletext-roundtrip" => [
+        Key::Teletext, Key::Digit(1), Key::Digit(2), Key::Digit(3), Key::Teletext
+    ],
+    "menu-toggle" => [Key::Menu, Key::Back],
+    "swivel-jog" => [Key::SwivelRight, Key::SwivelLeft],
+    "channel-flip" => [Key::ChannelUp, Key::ChannelDown],
+}
 
-/// Per-kind verdict transition streams.
-const PROBE_VERDICT: [&str; 6] = [
-    "core.probes.verdict.sleep-timer",
-    "core.probes.verdict.volume-nudge",
-    "core.probes.verdict.teletext-roundtrip",
-    "core.probes.verdict.menu-toggle",
-    "core.probes.verdict.swivel-jog",
-    "core.probes.verdict.channel-flip",
-];
+/// Virtual time from a stimulus to the comparison that judges it.
+const SETTLE: SimDuration = SimDuration::from_millis(20);
+
+/// Extra settle time after a repair burst, for its residual drain.
+const RESIDUAL: SimDuration = SimDuration::from_millis(5);
+
+/// Everything a closed-loop step stamps lies within this span of its
+/// stimulus: the settle window plus the residual drain. The step span
+/// closes there, and the next idle window opens there.
+const STEP_WINDOW: SimDuration = SimDuration::from_millis(25);
 
 /// The outcome of running a scenario through the loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LoopOutcome {
     /// Presses processed.
     pub steps: usize,
@@ -328,16 +322,18 @@ impl LoopOutcome {
     }
 }
 
-/// Updates one mirrored state entry in place. The hot path refreshes the
-/// same observables press after press, so the common case reuses both the
-/// existing `String` key and the existing value storage
-/// ([`ObsValue::assign_from`]); only a genuinely new observable pays for
-/// an insertion.
-fn mirror_output(state: &mut BTreeMap<String, ObsValue>, name: &str, value: &ObsValue) {
-    match state.get_mut(name) {
-        Some(slot) => slot.assign_from(value),
-        None => {
-            state.insert(name.to_owned(), value.clone());
+/// Updates the mirrored state from the outputs among `observations`.
+/// The hot path refreshes the same observables press after press, so
+/// the common case reuses both the existing `String` key and the
+/// existing value storage ([`ObsValue::assign_from`]); only a genuinely
+/// new observable pays for an insertion.
+fn mirror_outputs(state: &mut BTreeMap<String, ObsValue>, observations: &[Observation]) {
+    for (name, value) in observations.iter().filter_map(Observation::as_output) {
+        match state.get_mut(name) {
+            Some(slot) => slot.assign_from(value),
+            None => {
+                state.insert(name.to_owned(), value.clone());
+            }
         }
     }
 }
@@ -349,7 +345,8 @@ fn mirror_output(state: &mut BTreeMap<String, ObsValue>, name: &str, value: &Obs
 /// population — see `chaos::fleet`).
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Detector-raised errors for the current press.
+    /// Detector-raised errors since the last settle: per press for the
+    /// user, per burst for a probe.
     detector_errors: Vec<ErrorEvent>,
     /// Repair observations (targeted repairs or reboot announcements)
     /// for the current press.
@@ -387,76 +384,6 @@ fn detector_unit(detector: &str) -> Option<&'static str> {
     }
 }
 
-/// The correction strategy, shared by the user-press path and the probe
-/// bursts: attribute every error to the pipeline unit it indicts, then
-/// either reboot structurally ([`RecoveryState`]) or apply the targeted
-/// repairs. Repair/announcement observations are appended to
-/// `repair_obs` for the caller to mirror and re-offer.
-#[allow(clippy::too_many_arguments)]
-fn correct_errors(
-    detector_errors: &[ErrorEvent],
-    comparator_errors: &[DetectedError],
-    settle: SimTime,
-    tv: &mut TvSystem,
-    recovery: &mut Option<RecoveryState>,
-    ref_state: &BTreeMap<String, Value>,
-    repair_obs: &mut Vec<Observation>,
-    outcome: &mut LoopOutcome,
-    telemetry: &Telemetry,
-) {
-    if let Some(rs) = recovery.as_mut() {
-        // Structural recovery: reboot the faulty unit (micro) or the
-        // whole TV (full restart).
-        let mut faulty: BTreeSet<&'static str> = BTreeSet::new();
-        for err in detector_errors {
-            if let Some(unit) = detector_unit(&err.detector) {
-                faulty.insert(unit);
-            }
-        }
-        for err in comparator_errors {
-            if let Some(unit) = observable_unit(&err.observable) {
-                faulty.insert(unit);
-            }
-        }
-        // Indicted units are no longer checkpoint-clean.
-        for unit in &faulty {
-            rs.dirty.insert(unit);
-        }
-        if let Some(&unit) = faulty.iter().next() {
-            if settle >= rs.next_allowed {
-                rs.recover(tv, settle, unit, outcome, telemetry, repair_obs);
-            }
-        }
-    } else {
-        let mut resynced = false;
-        for err in detector_errors {
-            if err.detector == "mode-consistency:txt-sync" && !resynced {
-                repair_obs.extend(tv.resync_teletext(settle));
-                resynced = true;
-                outcome.recoveries += 1;
-            }
-        }
-        for err in comparator_errors {
-            match err.observable.as_str() {
-                "audio.muted" | "volume" => {
-                    let want_muted = ref_state
-                        .get("audio.muted")
-                        .and_then(Value::as_bool)
-                        .unwrap_or(false);
-                    repair_obs.extend(tv.force_audio(settle, want_muted));
-                    outcome.recoveries += 1;
-                }
-                "teletext.page" | "screen.mode" if !resynced => {
-                    repair_obs.extend(tv.resync_teletext(settle));
-                    resynced = true;
-                    outcome.recoveries += 1;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 /// Per-run state of the active health observatory: the probe rotation,
 /// the sleep-timer deadline monitor, and the last verdict per probe
 /// kind (for telemetry verdict-transition streams).
@@ -472,7 +399,7 @@ impl ProbeRuntime {
             every_windows: config.every_windows,
             ..ProbeConfig::default()
         });
-        for (kind, keys) in PROBE_PLANS {
+        for (kind, keys, _) in PROBES {
             scheduler.register(kind, keys.to_vec());
         }
         ProbeRuntime {
@@ -481,10 +408,16 @@ impl ProbeRuntime {
             verdicts: ["pass"; 6],
         }
     }
+
+    /// Records probe `plan`'s verdict, and a transition when it changed.
+    fn verdict(&mut self, plan: usize, verdict: &'static str, at: SimTime, telemetry: &Telemetry) {
+        let last = std::mem::replace(&mut self.verdicts[plan], verdict);
+        if last != verdict {
+            telemetry.transition(at, PROBES[plan].2, last, verdict);
+        }
+    }
 }
 
-/// Builds a mode-witness observation (fed to the consistency detector
-/// only — witnesses are in-situ samples, not boundary traffic).
 /// True when firing `kind` right now would disturb a foreground mode
 /// the user currently has active (teletext page state, an open menu).
 /// An idle-time prober must leave foreground state alone: a deferred
@@ -498,6 +431,8 @@ fn probe_disturbs(tv: &TvSystem, kind: &str) -> bool {
     }
 }
 
+/// Builds a mode-witness observation (fed to the consistency detector
+/// only — witnesses are in-situ samples, not boundary traffic).
 fn witness_obs(at: SimTime, component: &str, mode: &str) -> Observation {
     Observation::new(
         at,
@@ -509,143 +444,547 @@ fn witness_obs(at: SimTime, component: &str, mode: &str) -> Observation {
     )
 }
 
-/// Runs one probe burst inside an idle window: presses the synthetic
-/// keys through both the SUO and the oracle, samples the mode
-/// witnesses and the timer heartbeat, lets the comparator settle,
-/// corrects exactly like the user-press path, and finally scrubs the
-/// burst's block coverage and error baseline out of the spectra record
-/// so diagnosis ranking stays probe-free. Returns the errors detected
-/// and the burst's settle time.
-#[allow(clippy::too_many_arguments)]
-fn run_probe_burst(
-    firing: &ProbeFiring<Key>,
-    deadline: &mut DeadlineMonitor,
-    tv: &mut TvSystem,
-    oracle: &mut Executor<'_>,
-    monitor: &mut AwarenessMonitor,
-    mode_detector: &mut ModeConsistencyDetector,
-    recovery: &mut Option<RecoveryState>,
-    ref_state: &mut BTreeMap<String, Value>,
-    sys_state: &mut BTreeMap<String, ObsValue>,
-    scratch: &mut StepScratch,
-    outcome: &mut LoopOutcome,
-    telemetry: &Telemetry,
-) -> (usize, SimTime) {
-    scratch.detector_errors.clear();
-    for (at, key) in &firing.keys {
-        // A probe aimed at a unit inside a reboot outage is skipped on
-        // *both* the SUO and the oracle — symmetric, so the comparator
-        // sees no synthetic divergence from the outage itself.
-        let serving = tv.serving_unit(*key);
-        if recovery.as_ref().is_some_and(|rs| rs.is_down(*at, serving)) {
-            telemetry.count(*at, "core.probes.skipped_keys", 1);
-            continue;
+/// Where a stimulus comes from. User presses and probe keys run through
+/// the same stages; the few places where the two differ branch on this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// A key press of the scenario.
+    User,
+    /// A synthetic key of an idle-window probe burst.
+    Probe,
+}
+
+/// The closed half of the loop: the awareness monitor, the
+/// complementary mode-consistency detector and, when installed, the
+/// active health observatory and structural unit recovery.
+struct ClosedArm<'m> {
+    monitor: AwarenessMonitor<'m>,
+    mode_detector: ModeConsistencyDetector,
+    probes: Option<ProbeRuntime>,
+    /// Checkpoint vault, press journals, outage tracking.
+    recovery: Option<RecoveryState>,
+}
+
+impl<'m> ClosedArm<'m> {
+    fn new(looped: &TvDependabilityLoop, machine: &'m Machine, n_blocks: u32) -> Self {
+        let cfg =
+            Configuration::new().with_default_spec(CompareSpec::exact().with_max_consecutive(0));
+        let mut builder = MonitorBuilder::new(machine)
+            .configuration(cfg)
+            .output_delay(looped.output_delay)
+            .jitter(looped.jitter)
+            .loss(looped.loss)
+            .reliable(looped.reliable)
+            .seed(looped.seed)
+            .telemetry(looped.telemetry.clone());
+        if let Some(config) = looped.supervision {
+            builder = builder.supervised(config);
         }
-        let observations = tv.press(*at, *key);
-        if let Some(rs) = recovery.as_mut() {
-            // Journaled like user presses: a later micro-reboot must
-            // replay probe-caused state onto the restored checkpoint.
-            rs.journal.entry(serving).or_default().push(*key);
+        if let Some(top_k) = looped.online_diagnosis_k {
+            builder = builder.diagnosis(DiagnosisConfig::new(n_blocks).with_top_k(top_k));
         }
-        for obs in &observations {
-            if let Some((name, value)) = obs.as_output() {
-                mirror_output(sys_state, name, value);
+        let mut mode_detector = ModeConsistencyDetector::new();
+        mode_detector.add_rule(ConsistencyRule::new(
+            "txt-sync",
+            "ui",
+            "teletext",
+            "decoder",
+            ["teletext"],
+        ));
+        if looped.probes.is_some() {
+            // Witness rules are only consulted when the observatory
+            // emits its witness observations, so they ride the same
+            // detector without changing probe-free behaviour.
+            mode_detector.add_rule(ConsistencyRule::new(
+                "menu-witness",
+                "osd.intent",
+                "closed",
+                "scaler",
+                [
+                    "video",
+                    "teletext",
+                    "dual",
+                    "dual+teletext",
+                    "pip",
+                    "epg",
+                    "off",
+                ],
+            ));
+            mode_detector.add_rule(ConsistencyRule::new(
+                "swivel-witness",
+                "swivel.motor",
+                "idle",
+                "swivel.cmd",
+                ["converged"],
+            ));
+        }
+        ClosedArm {
+            monitor: builder.build(),
+            mode_detector,
+            probes: looped.probes.as_ref().map(ProbeRuntime::new),
+            recovery: looped
+                .unit_recovery
+                .map(|cfg| RecoveryState::new(cfg, looped.seed)),
+        }
+    }
+
+    /// Feeds one SUO observation to the monitor, the mode detector and
+    /// the deadline monitor; returns the mode detector's errors.
+    fn offer(&mut self, obs: &Observation) -> Vec<ErrorEvent> {
+        self.monitor.offer(obs);
+        let errors = self.mode_detector.observe(obs);
+        if let Some(pr) = self.probes.as_mut() {
+            pr.deadline.observe(obs);
+        }
+        errors
+    }
+}
+
+/// One run of the loop: the SUO, the ground-truth oracle, both sides'
+/// mirrored outputs and, in the closed loop, the [`ClosedArm`]. A user
+/// press and a probe burst are short callers of the same stages —
+/// [`stimulate`](Self::stimulate), [`settle`](Self::settle) and
+/// [`correct`](Self::correct) — and differ only where those branch on
+/// [`Origin`].
+struct Stepper<'m> {
+    tv: TvSystem,
+    /// The desired behaviour, evaluated with zero delay and full
+    /// observability (only the harness has this).
+    oracle: Executor<'m>,
+    ref_state: BTreeMap<String, Value>,
+    sys_state: BTreeMap<String, ObsValue>,
+    scratch: StepScratch,
+    outcome: LoopOutcome,
+    first_fault_at: Option<SimTime>,
+    first_detect_at: Option<SimTime>,
+    arm: Option<ClosedArm<'m>>,
+    telemetry: Telemetry,
+}
+
+impl<'m> Stepper<'m> {
+    fn new(looped: &TvDependabilityLoop, machine: &'m Machine) -> Self {
+        let tv = TvSystem::new();
+        let mut oracle = Executor::new(machine);
+        oracle.start();
+        let arm = looped
+            .closed
+            .then(|| ClosedArm::new(looped, machine, tv.n_blocks()));
+        Stepper {
+            tv,
+            oracle,
+            ref_state: BTreeMap::new(),
+            sys_state: BTreeMap::new(),
+            scratch: StepScratch::default(),
+            outcome: LoopOutcome::default(),
+            first_fault_at: None,
+            first_detect_at: None,
+            arm,
+            telemetry: looped.telemetry.clone(),
+        }
+    }
+
+    /// Applies one fault schedule edge to the SUO.
+    fn fault_edge(&mut self, at: SimTime, edge: Transition<TvFault>) {
+        match edge {
+            Transition::Activated(f) => {
+                self.tv.inject_fault(f);
+                self.outcome.fault_activations += 1;
+                self.first_fault_at.get_or_insert(at);
+                self.telemetry
+                    .transition(at, "core.loop.fault", "dormant", f.name());
+            }
+            Transition::Deactivated(f) => {
+                self.tv.clear_fault(f);
+                self.telemetry
+                    .transition(at, "core.loop.fault", f.name(), "dormant");
             }
         }
+    }
+
+    /// One user press: stimulate, settle, correct, and record the
+    /// press's own block coverage as one spectrum step; then the
+    /// user-visible deviation check and the checkpoint cadence.
+    fn press(&mut self, at: SimTime, key: Key) {
+        if self.stimulate(at, key, Origin::User) && self.arm.is_some() {
+            let settle = at + SETTLE;
+            let (errors, _) = self.settle(settle, Origin::User);
+            // One spectrum step per press: snapshot the coverage now so
+            // the step reflects the SUO's response to the press alone —
+            // repair bursts are monitor-commanded and would otherwise
+            // correlate perfectly with failing verdicts and crowd out
+            // the true fault block.
+            let press_coverage = self.tv.take_coverage();
+            if self.correct(settle, &errors, Origin::User) {
+                let _ = self.tv.take_coverage();
+            }
+            // Comparator errors since the last snapshot mark the step
+            // failing and re-rank the in-loop suspect window. Recording
+            // after the residual drain keeps repair transients from
+            // spilling a failing verdict onto the next step.
+            if let Some(arm) = self.arm.as_mut() {
+                arm.monitor.record_coverage(&press_coverage);
+            }
+        }
+        self.outcome.steps += 1;
+        if self.deviates() {
+            self.outcome.failure_steps += 1;
+            self.telemetry
+                .metric_incr("core.loop.user_visible_failures", 1);
+        }
+        // Checkpoint cadence runs after this step's detections so a
+        // unit flagged dirty just now is never sealed.
+        if let Some(rs) = self.arm.as_mut().and_then(|arm| arm.recovery.as_mut()) {
+            rs.maybe_checkpoint(&self.tv, at, &self.telemetry);
+        }
+    }
+
+    /// Fires the observatory's next self-check into the idle window
+    /// between the presses at `prev` and `next`: the burst's keys
+    /// stimulate the SUO and the oracle, the mode witnesses sample the
+    /// probe's postcondition, and the burst settles and corrects like a
+    /// user press.
+    fn probe_window(&mut self, prev: SimTime, next: SimTime) {
+        let Some(pr) = self.arm.as_mut().and_then(|arm| arm.probes.as_mut()) else {
+            return;
+        };
+        let Some(firing) = pr.scheduler.plan_window(prev + STEP_WINDOW, next) else {
+            return;
+        };
+        let fired_at = firing.keys[0].0;
+        if probe_disturbs(&self.tv, firing.kind) {
+            self.telemetry.count(fired_at, "core.probes.deferred", 1);
+            return;
+        }
+        self.telemetry.span_enter(fired_at, "core.probes.burst");
+        for &(at, key) in &firing.keys {
+            self.stimulate(at, key, Origin::Probe);
+        }
+        let last_at = firing.keys.last().map_or(SimTime::ZERO, |&(t, _)| t);
+        let settle = last_at + SETTLE;
+        self.witness(firing.kind, settle);
+        let (errors, n_errors) = self.settle(settle, Origin::Probe);
+        self.correct(settle, &errors, Origin::Probe);
+        // Spectra hygiene: probe presses are synthetic traffic. Drop
+        // their block coverage and absorb their error count, so the
+        // next user press's spectrum step reflects only its own
+        // behaviour.
+        let _ = self.tv.take_coverage();
+        self.telemetry.count(settle, PROBE_FIRED[firing.plan], 1);
+        let latency = settle.since(fired_at).as_nanos();
+        self.telemetry.observe_ns("core.probes.latency_ns", latency);
+        let verdict = if n_errors > 0 { "divergent" } else { "pass" };
+        if let Some(arm) = self.arm.as_mut() {
+            arm.monitor.absorb_synthetic_errors();
+            if let Some(pr) = arm.probes.as_mut() {
+                pr.verdict(firing.plan, verdict, settle, &self.telemetry);
+            }
+        }
+        self.telemetry.span_exit(settle, "core.probes.burst");
+    }
+
+    /// Presses `key` on the SUO, steps the oracle with it, and offers the
+    /// SUO's observations to the closed arm. Returns whether the SUO took
+    /// the press: a unit inside a reboot outage does not.
+    fn stimulate(&mut self, at: SimTime, key: Key, origin: Origin) -> bool {
+        let serving = self.tv.serving_unit(key);
+        let down = self.arm.as_ref().and_then(|arm| arm.recovery.as_ref());
+        if let Some(rs) = down.filter(|rs| rs.is_down(at, serving)) {
+            match origin {
+                // The outage swallows a user press on the SUO, so the
+                // monitor never sees it either; the desired behaviour
+                // still advances, so the loss is user-visible.
+                Origin::User => {
+                    self.outcome.lost_presses += 1;
+                    if rs.outage_unit != Some(serving) {
+                        self.outcome.lost_presses_unaffected += 1;
+                    }
+                    self.telemetry.count(at, "core.reboot.lost_press", 1);
+                    self.step_oracle(at, key);
+                }
+                // A probe key is skipped on *both* sides — symmetric, so
+                // the comparator sees no synthetic divergence from the
+                // outage itself.
+                Origin::Probe => self.telemetry.count(at, "core.probes.skipped_keys", 1),
+            }
+            return false;
+        }
+        let observations = self.tv.press(at, key);
+        if let Some(rs) = self.arm.as_mut().and_then(|arm| arm.recovery.as_mut()) {
+            // Journaled for post-restore reconciliation: a later
+            // micro-reboot replays user- and probe-caused state alike.
+            rs.journal.entry(serving).or_default().push(key);
+        }
+        mirror_outputs(&mut self.sys_state, &observations);
+        self.step_oracle(at, key);
+        if let Some(arm) = self.arm.as_mut() {
+            for obs in &observations {
+                self.scratch.detector_errors.extend(arm.offer(obs));
+            }
+        }
+        true
+    }
+
+    fn step_oracle(&mut self, at: SimTime, key: Key) {
         let event = match key.payload() {
             Some(p) => Event::with_payload(key.event_name(), p),
             None => Event::plain(key.event_name()),
         };
-        oracle.step_at(*at, &event);
-        scratch.oracle_outputs.clear();
-        oracle.drain_outputs_into(&mut scratch.oracle_outputs);
-        for rec in scratch.oracle_outputs.drain(..) {
-            match ref_state.get_mut(&rec.name) {
+        self.oracle.step_at(at, &event);
+        self.scratch.oracle_outputs.clear();
+        self.oracle
+            .drain_outputs_into(&mut self.scratch.oracle_outputs);
+        for rec in self.scratch.oracle_outputs.drain(..) {
+            // In-place overwrite keeps the established key `String`s;
+            // inserts only happen the first time an output appears.
+            match self.ref_state.get_mut(&rec.name) {
                 Some(slot) => *slot = rec.value,
                 None => {
-                    ref_state.insert(rec.name, rec.value);
+                    self.ref_state.insert(rec.name, rec.value);
                 }
             }
         }
-        for obs in &observations {
-            monitor.offer(obs);
-            scratch.detector_errors.extend(mode_detector.observe(obs));
-            deadline.observe(obs);
-        }
     }
-    let last_at = firing.keys.last().map(|(t, _)| *t).unwrap_or(SimTime::ZERO);
-    let settle = last_at + SimDuration::from_millis(20);
 
-    // Mode witnesses: assert the probe's postcondition against the live
-    // mode map, then retire the assertion so unrelated later mode
-    // traffic cannot re-trigger it.
-    match firing.kind {
-        "menu-toggle" => {
-            // The open/close round-trip must leave no OSD on screen.
-            scratch
-                .detector_errors
-                .extend(mode_detector.observe(&witness_obs(settle, "osd.intent", "closed")));
-            let _ = mode_detector.observe(&witness_obs(settle, "osd.intent", "idle"));
-        }
-        "swivel-jog" => {
-            for obs in tv.witness_swivel(settle) {
-                scratch.detector_errors.extend(mode_detector.observe(&obs));
-                deadline.observe(&obs);
+    /// Mode witnesses: asserts probe `kind`'s postcondition against the
+    /// live mode map, then retires the assertion so unrelated later mode
+    /// traffic cannot re-trigger it.
+    fn witness(&mut self, kind: &str, at: SimTime) {
+        let Some(arm) = self.arm.as_mut() else {
+            return;
+        };
+        let (errors, detector) = (&mut self.scratch.detector_errors, &mut arm.mode_detector);
+        match kind {
+            "menu-toggle" => {
+                // The open/close round-trip must leave no OSD on screen.
+                errors.extend(detector.observe(&witness_obs(at, "osd.intent", "closed")));
+                let _ = detector.observe(&witness_obs(at, "osd.intent", "idle"));
             }
-            let _ = mode_detector.observe(&witness_obs(settle, "swivel.motor", "busy"));
+            "swivel-jog" => {
+                for obs in self.tv.witness_swivel(at) {
+                    errors.extend(detector.observe(&obs));
+                    if let Some(pr) = arm.probes.as_mut() {
+                        pr.deadline.observe(&obs);
+                    }
+                }
+                let _ = detector.observe(&witness_obs(at, "swivel.motor", "busy"));
+            }
+            _ => {}
         }
-        _ => {}
     }
 
-    // Timer-service liveness: sample the heartbeat and check the armed
-    // obligations, unless the timer unit is itself inside an outage.
-    let sleep_up = recovery
-        .as_ref()
-        .is_none_or(|rs| !rs.is_down(settle, "sleep"));
-    if sleep_up {
-        for hb in tv.timer_heartbeat(settle) {
-            deadline.observe(&hb);
+    /// Lets the closed arm settle at `at`: samples the sleep-timer
+    /// heartbeat and checks its armed obligations (unless the timer
+    /// unit is itself inside an outage), delivers the channel traffic
+    /// and runs the comparisons up to `at`, and accounts every error
+    /// raised since the stimulus. Returns the comparator errors and the
+    /// error total, comparator plus detectors.
+    fn settle(&mut self, at: SimTime, origin: Origin) -> (Vec<DetectedError>, usize) {
+        let Some(arm) = self.arm.as_mut() else {
+            return (Vec::new(), 0);
+        };
+        let sleep_up = arm
+            .recovery
+            .as_ref()
+            .is_none_or(|rs| !rs.is_down(at, "sleep"));
+        if let (Some(pr), true) = (arm.probes.as_mut(), sleep_up) {
+            for hb in self.tv.timer_heartbeat(at) {
+                pr.deadline.observe(&hb);
+            }
+            self.scratch.detector_errors.extend(pr.deadline.tick(at));
         }
-        scratch.detector_errors.extend(deadline.tick(settle));
+        arm.monitor.advance_to(at);
+        let comparator_errors = arm.monitor.drain_errors();
+        let n_errors = comparator_errors.len() + self.scratch.detector_errors.len();
+        let counter = match origin {
+            Origin::User => "core.loop.detections",
+            Origin::Probe => "core.probes.detections",
+        };
+        self.detected(at, n_errors, counter);
+        (comparator_errors, n_errors)
     }
 
-    monitor.advance_to(settle);
-    let comparator_errors = monitor.drain_errors();
-    let n_errors = comparator_errors.len() + scratch.detector_errors.len();
-    if n_errors > 0 {
-        outcome.detected_errors += n_errors;
-        telemetry.count(settle, "core.probes.detections", n_errors as i64);
-    }
-    scratch.repair_obs.clear();
-    correct_errors(
-        &scratch.detector_errors,
-        &comparator_errors,
-        settle,
-        tv,
-        recovery,
-        ref_state,
-        &mut scratch.repair_obs,
-        outcome,
-        telemetry,
-    );
-    for obs in scratch.repair_obs.iter() {
-        if let Some((name, value)) = obs.as_output() {
-            mirror_output(sys_state, name, value);
+    fn detected(&mut self, at: SimTime, n_errors: usize, counter: &'static str) {
+        if n_errors > 0 {
+            self.outcome.detected_errors += n_errors;
+            self.first_detect_at.get_or_insert(at);
+            self.telemetry.count(at, counter, n_errors as i64);
         }
-        monitor.offer(obs);
-        let _ = mode_detector.observe(obs);
-        deadline.observe(obs);
     }
-    if !scratch.repair_obs.is_empty() {
-        monitor.advance_to(settle + SimDuration::from_millis(5));
-        let _ = monitor.drain_errors();
+
+    /// The correction strategy: attributes every settled error to the
+    /// pipeline unit it indicts, then either reboots structurally
+    /// ([`RecoveryState`]) or applies the targeted repairs. The repair
+    /// (or reboot-announcement) burst is mirrored and fed back to the
+    /// arm, which settles another [`RESIDUAL`]: post-repair comparisons
+    /// should match again, so any residual transient error the burst
+    /// raised is dropped. Returns whether there was such a burst.
+    fn correct(
+        &mut self,
+        at: SimTime,
+        comparator_errors: &[DetectedError],
+        origin: Origin,
+    ) -> bool {
+        let Some(arm) = self.arm.as_mut() else {
+            return false;
+        };
+        let recoveries_before = self.outcome.recoveries;
+        let detector_errors = &self.scratch.detector_errors;
+        let repair_obs = &mut self.scratch.repair_obs;
+        repair_obs.clear();
+        if let Some(rs) = arm.recovery.as_mut() {
+            // Structural recovery: reboot the faulty unit (micro) or the
+            // whole TV (full restart).
+            let faulty: BTreeSet<&'static str> = detector_errors
+                .iter()
+                .filter_map(|err| detector_unit(&err.detector))
+                .chain(
+                    comparator_errors
+                        .iter()
+                        .filter_map(|err| observable_unit(&err.observable)),
+                )
+                .collect();
+            // Indicted units are no longer checkpoint-clean.
+            rs.dirty.extend(&faulty);
+            if let Some(&unit) = faulty.first() {
+                if at >= rs.next_allowed {
+                    rs.recover(
+                        &mut self.tv,
+                        at,
+                        unit,
+                        &mut self.outcome,
+                        &self.telemetry,
+                        repair_obs,
+                    );
+                }
+            }
+        } else {
+            let mut resynced = detector_errors
+                .iter()
+                .any(|err| err.detector == "mode-consistency:txt-sync");
+            if resynced {
+                repair_obs.extend(self.tv.resync_teletext(at));
+                self.outcome.recoveries += 1;
+            }
+            for err in comparator_errors {
+                match err.observable.as_str() {
+                    "audio.muted" | "volume" => {
+                        let want_muted = self
+                            .ref_state
+                            .get("audio.muted")
+                            .and_then(Value::as_bool)
+                            .unwrap_or(false);
+                        repair_obs.extend(self.tv.force_audio(at, want_muted));
+                        self.outcome.recoveries += 1;
+                    }
+                    "teletext.page" | "screen.mode" if !resynced => {
+                        repair_obs.extend(self.tv.resync_teletext(at));
+                        resynced = true;
+                        self.outcome.recoveries += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        mirror_outputs(&mut self.sys_state, repair_obs);
+        for obs in repair_obs.iter() {
+            let _ = arm.offer(obs);
+        }
+        let repairs = (self.outcome.recoveries - recoveries_before) as i64;
+        if origin == Origin::User && repairs > 0 {
+            self.telemetry.count(at, "core.loop.repairs", repairs);
+        }
+        let repaired = !repair_obs.is_empty();
+        if repaired {
+            arm.monitor.advance_to(at + RESIDUAL);
+            let _ = arm.monitor.drain_errors();
+        }
+        self.scratch.detector_errors.clear();
+        repaired
     }
-    // Spectra hygiene: probe presses are synthetic traffic. Drop their
-    // block coverage and absorb their error count, so the next user
-    // press's spectrum step reflects only its own behaviour.
-    let _ = tv.take_coverage();
-    monitor.absorb_synthetic_errors();
-    (n_errors, settle)
+
+    /// Allocation-free user-visible deviation check against the oracle
+    /// (semantics of `ObsValue::distance` against the would-be expected
+    /// value, without materializing it: text mismatch or cross-kind
+    /// comparison deviates; numeric deviation beyond the epsilon
+    /// deviates; a NaN expectation never does).
+    fn deviates(&self) -> bool {
+        self.ref_state.iter().any(|(name, expected)| {
+            self.sys_state
+                .get(name)
+                .is_some_and(|actual| match expected {
+                    Value::Str(s) => actual.as_text() != Some(s.as_str()),
+                    other => {
+                        let expected_num = other.as_f64().unwrap_or(f64::NAN);
+                        match actual.as_num() {
+                            Some(a) => (expected_num - a).abs() > 1e-9,
+                            None => true,
+                        }
+                    }
+                })
+        })
+    }
+
+    /// Ends the run: the obligation epilogue, then the end-of-run
+    /// accounting from the closed arm.
+    fn finish(mut self) -> LoopOutcome {
+        // An armed sleep timer must still fire past the last press. The
+        // expiry is driven on the TV alone and fed only to the deadline
+        // monitor — the spec machine does not model autonomous
+        // power-down, so routing it through the comparator would raise
+        // a phantom divergence on healthy twins.
+        if let Some(pr) = self.arm.as_mut().and_then(|arm| arm.probes.as_mut()) {
+            if let Some(due) = pr.deadline.fire_deadline() {
+                for obs in self.tv.tick(due) {
+                    pr.deadline.observe(&obs);
+                }
+                let late = due + SimDuration::from_millis(1);
+                let missed = pr.deadline.tick(late).len();
+                self.detected(late, missed, "core.probes.detections");
+            }
+        }
+
+        let outcome = &mut self.outcome;
+        outcome.detection_latency = match (self.first_fault_at, self.first_detect_at) {
+            (Some(f), Some(d)) if d >= f => Some(d.since(f)),
+            _ => None,
+        };
+        if let Some(arm) = self.arm.as_ref() {
+            let monitor = &arm.monitor;
+            let (input, output) = (monitor.input_channel(), monitor.output_channel());
+            outcome.channels = Some(ChannelAudit {
+                sent: input.sent() + output.sent(),
+                delivered: input.delivered() + output.delivered(),
+                lost: input.lost() + output.lost(),
+                in_flight: (input.in_flight() + output.in_flight()) as u64,
+            });
+            outcome.safe_mode_entries = monitor
+                .supervisor_report()
+                .map_or(0, |report| report.safe_mode_entries);
+            // The highest rung with an entry: retry, channel restart,
+            // micro-reboot, monitor restart, safe mode.
+            outcome.ladder_rung = monitor.supervisor_report().map_or(0, |r| {
+                [
+                    r.retries,
+                    r.channel_restarts,
+                    r.micro_reboots,
+                    r.monitor_restarts,
+                    r.safe_mode_entries,
+                ]
+                .iter()
+                .rposition(|&n| n > 0)
+                .map_or(0, |rung| rung as u8 + 1)
+            });
+            if let Some(diag) = monitor.diagnosis() {
+                outcome.diagnoses_triggered = diag.triggered_diagnoses();
+                outcome.top_suspects = diag.top_suspects().iter().map(|e| e.block).collect();
+            }
+            if let Some(rs) = arm.recovery.as_ref() {
+                outcome.checkpoint_generations = rs.vault.latest_generations();
+                outcome.reboot_mttr = rs.mean_mttr();
+            }
+        }
+        self.outcome
+    }
 }
 
 /// Per-run bookkeeping for structural unit recovery: the checkpoint
@@ -929,432 +1268,26 @@ impl TvDependabilityLoop {
     /// Runs the scenario to completion.
     pub fn run(&mut self, scenario: &TimedScenario) -> LoopOutcome {
         let machine = self.machine.clone();
-        let mut tv = TvSystem::new();
-
-        // Ground-truth oracle: the desired behaviour, evaluated with
-        // zero delay and full observability (only the harness has this).
-        let mut oracle = Executor::new(&machine);
-        oracle.start();
-        let mut ref_state: BTreeMap<String, Value> = BTreeMap::new();
-        let mut sys_state: BTreeMap<String, ObsValue> = BTreeMap::new();
-
-        // The run-time awareness monitor (closed loop only).
-        let cfg =
-            Configuration::new().with_default_spec(CompareSpec::exact().with_max_consecutive(0));
-        let mut monitor = self.closed.then(|| {
-            let mut builder = MonitorBuilder::new(&machine)
-                .configuration(cfg)
-                .output_delay(self.output_delay)
-                .jitter(self.jitter)
-                .loss(self.loss)
-                .reliable(self.reliable)
-                .seed(self.seed)
-                .telemetry(self.telemetry.clone());
-            if let Some(config) = self.supervision {
-                builder = builder.supervised(config);
-            }
-            if let Some(top_k) = self.online_diagnosis_k {
-                builder = builder.diagnosis(DiagnosisConfig::new(tv.n_blocks()).with_top_k(top_k));
-            }
-            builder.build()
-        });
-        let mut mode_detector = self.closed.then(|| {
-            let mut d = ModeConsistencyDetector::new();
-            d.add_rule(ConsistencyRule::new(
-                "txt-sync",
-                "ui",
-                "teletext",
-                "decoder",
-                ["teletext"],
-            ));
-            if self.probes.is_some() {
-                // Witness rules are only consulted when the observatory
-                // emits its witness observations, so they ride the same
-                // detector without changing probe-free behaviour.
-                d.add_rule(ConsistencyRule::new(
-                    "menu-witness",
-                    "osd.intent",
-                    "closed",
-                    "scaler",
-                    [
-                        "video",
-                        "teletext",
-                        "dual",
-                        "dual+teletext",
-                        "pip",
-                        "epg",
-                        "off",
-                    ],
-                ));
-                d.add_rule(ConsistencyRule::new(
-                    "swivel-witness",
-                    "swivel.motor",
-                    "idle",
-                    "swivel.cmd",
-                    ["converged"],
-                ));
-            }
-            d
-        });
-
-        // The active health observatory (closed loop only).
-        let mut probes = self
-            .closed
-            .then(|| self.probes.as_ref().map(ProbeRuntime::new))
-            .flatten();
-
-        // Structural unit recovery (closed loop only): checkpoint vault,
-        // press journals, outage tracking.
-        let mut recovery = self
-            .closed
-            .then(|| {
-                self.unit_recovery
-                    .map(|cfg| RecoveryState::new(cfg, self.seed))
-            })
-            .flatten();
-
-        let mut outcome = LoopOutcome {
-            steps: 0,
-            failure_steps: 0,
-            detected_errors: 0,
-            recoveries: 0,
-            detection_latency: None,
-            fault_activations: 0,
-            channels: None,
-            safe_mode_entries: 0,
-            diagnoses_triggered: 0,
-            top_suspects: Vec::new(),
-            lost_presses: 0,
-            lost_presses_unaffected: 0,
-            micro_reboots: 0,
-            full_restarts: 0,
-            reboot_mttr: None,
-            checkpoint_generations: Vec::new(),
-            ladder_rung: 0,
-        };
-        let mut first_fault_at: Option<SimTime> = None;
-        let mut first_detect_at: Option<SimTime> = None;
-        // Hoisted hot-path scratch: one allocation for the whole run
-        // instead of fresh vectors on every press.
-        let mut scratch = StepScratch::default();
-
+        let mut stepper = Stepper::new(self, &machine);
         let mut prev_press_at: Option<SimTime> = None;
-        for (i, (at, key)) in scenario.presses().iter().enumerate() {
+        for (i, &(at, key)) in scenario.presses().iter().enumerate() {
             // Idle-window probing: the observatory fires its next
             // self-check into the settled gap left by the previous
             // press, before this press's fault edges and traffic.
-            if let (Some(prev), Some(pr), Some(monitor), Some(mode_detector)) = (
-                prev_press_at,
-                probes.as_mut(),
-                monitor.as_mut(),
-                mode_detector.as_mut(),
-            ) {
-                let window_start = prev + SimDuration::from_millis(25);
-                if let Some(firing) = pr.scheduler.plan_window(window_start, *at) {
-                    let fired_at = firing.keys[0].0;
-                    if probe_disturbs(&tv, firing.kind) {
-                        self.telemetry.count(fired_at, "core.probes.deferred", 1);
-                    } else {
-                        self.telemetry.span_enter(fired_at, "core.probes.burst");
-                        let (n_errors, settle) = run_probe_burst(
-                            &firing,
-                            &mut pr.deadline,
-                            &mut tv,
-                            &mut oracle,
-                            monitor,
-                            mode_detector,
-                            &mut recovery,
-                            &mut ref_state,
-                            &mut sys_state,
-                            &mut scratch,
-                            &mut outcome,
-                            &self.telemetry,
-                        );
-                        if n_errors > 0 {
-                            first_detect_at.get_or_insert(settle);
-                        }
-                        self.telemetry.count(settle, PROBE_FIRED[firing.plan], 1);
-                        self.telemetry.observe_ns(
-                            "core.probes.latency_ns",
-                            settle.since(fired_at).as_nanos(),
-                        );
-                        let verdict = if n_errors > 0 { "divergent" } else { "pass" };
-                        if pr.verdicts[firing.plan] != verdict {
-                            self.telemetry.transition(
-                                settle,
-                                PROBE_VERDICT[firing.plan],
-                                pr.verdicts[firing.plan],
-                                verdict,
-                            );
-                            pr.verdicts[firing.plan] = verdict;
-                        }
-                        self.telemetry.span_exit(settle, "core.probes.burst");
-                    }
-                }
+            if let Some(prev) = prev_press_at {
+                stepper.probe_window(prev, at);
             }
-            prev_press_at = Some(*at);
-            self.telemetry.span_enter(*at, "core.loop.step");
-            // Fault schedule edges.
-            for edge in self.injector.poll(*at, i as u64) {
-                match edge {
-                    Transition::Activated(f) => {
-                        tv.inject_fault(f);
-                        outcome.fault_activations += 1;
-                        first_fault_at.get_or_insert(*at);
-                        self.telemetry
-                            .transition(*at, "core.loop.fault", "dormant", f.name());
-                    }
-                    Transition::Deactivated(f) => {
-                        tv.clear_fault(f);
-                        self.telemetry
-                            .transition(*at, "core.loop.fault", f.name(), "dormant");
-                    }
-                }
+            prev_press_at = Some(at);
+            self.telemetry.span_enter(at, "core.loop.step");
+            for edge in self.injector.poll(at, i as u64) {
+                stepper.fault_edge(at, edge);
             }
-
-            // A reboot outage swallows presses aimed at a down unit:
-            // the SUO never sees them and neither does the monitor (the
-            // desired behaviour still advances below, so the loss is
-            // user-visible).
-            let serving = recovery.as_ref().map(|_| tv.serving_unit(*key));
-            let dropped = match (recovery.as_mut(), serving) {
-                (Some(rs), Some(unit)) if rs.is_down(*at, unit) => {
-                    outcome.lost_presses += 1;
-                    if rs.outage_unit != Some(unit) {
-                        outcome.lost_presses_unaffected += 1;
-                    }
-                    self.telemetry.count(*at, "core.reboot.lost_press", 1);
-                    true
-                }
-                _ => false,
-            };
-
-            // Drive the SUO.
-            let observations = if dropped {
-                Vec::new()
-            } else {
-                tv.press(*at, *key)
-            };
-            if !dropped {
-                if let (Some(rs), Some(unit)) = (recovery.as_mut(), serving) {
-                    // Journal the press for post-restore reconciliation.
-                    rs.journal.entry(unit).or_default().push(*key);
-                }
-            }
-            for obs in &observations {
-                if let Some((name, value)) = obs.as_output() {
-                    mirror_output(&mut sys_state, name, value);
-                }
-            }
-
-            // Drive the oracle.
-            let event = match key.payload() {
-                Some(p) => Event::with_payload(key.event_name(), p),
-                None => Event::plain(key.event_name()),
-            };
-            oracle.step_at(*at, &event);
-            scratch.oracle_outputs.clear();
-            oracle.drain_outputs_into(&mut scratch.oracle_outputs);
-            for rec in scratch.oracle_outputs.drain(..) {
-                // In-place overwrite keeps the established key `String`s;
-                // inserts only happen the first time an output appears.
-                match ref_state.get_mut(&rec.name) {
-                    Some(slot) => *slot = rec.value,
-                    None => {
-                        ref_state.insert(rec.name, rec.value);
-                    }
-                }
-            }
-
-            // Closed loop: observation, detection, correction.
-            if let (false, Some(monitor), Some(mode_detector)) =
-                (dropped, monitor.as_mut(), mode_detector.as_mut())
-            {
-                scratch.detector_errors.clear();
-                for obs in &observations {
-                    monitor.offer(obs);
-                    scratch.detector_errors.extend(mode_detector.observe(obs));
-                    if let Some(pr) = probes.as_mut() {
-                        pr.deadline.observe(obs);
-                    }
-                }
-                // Let channel deliveries and comparisons happen before the
-                // next press.
-                let settle = *at + SimDuration::from_millis(20);
-                // Timer-service liveness rides every settled press too,
-                // so obligations are checked even between probe windows.
-                if let Some(pr) = probes.as_mut() {
-                    let sleep_up = recovery
-                        .as_ref()
-                        .is_none_or(|rs| !rs.is_down(settle, "sleep"));
-                    if sleep_up {
-                        for hb in tv.timer_heartbeat(settle) {
-                            pr.deadline.observe(&hb);
-                        }
-                        scratch.detector_errors.extend(pr.deadline.tick(settle));
-                    }
-                }
-                let detector_errors = &scratch.detector_errors;
-                monitor.advance_to(settle);
-                let comparator_errors = monitor.drain_errors();
-                // One spectrum step per press: snapshot the coverage now so
-                // the step reflects the SUO's response to the press alone —
-                // repair bursts below are monitor-commanded and would
-                // otherwise correlate perfectly with failing verdicts and
-                // crowd out the true fault block.
-                let press_coverage = tv.take_coverage();
-                let n_errors = comparator_errors.len() + detector_errors.len();
-                if n_errors > 0 {
-                    outcome.detected_errors += n_errors;
-                    first_detect_at.get_or_insert(settle);
-                    self.telemetry
-                        .count(settle, "core.loop.detections", n_errors as i64);
-                }
-                let recoveries_before = outcome.recoveries;
-                // Correction strategy: map errors to SUO repair actions
-                // (shared with the probe-burst path).
-                scratch.repair_obs.clear();
-                correct_errors(
-                    &scratch.detector_errors,
-                    &comparator_errors,
-                    settle,
-                    &mut tv,
-                    &mut recovery,
-                    &ref_state,
-                    &mut scratch.repair_obs,
-                    &mut outcome,
-                    &self.telemetry,
-                );
-                let repair_obs = &mut scratch.repair_obs;
-                for obs in repair_obs.iter() {
-                    if let Some((name, value)) = obs.as_output() {
-                        mirror_output(&mut sys_state, name, value);
-                    }
-                    monitor.offer(obs);
-                    let _ = mode_detector.observe(obs);
-                    if let Some(pr) = probes.as_mut() {
-                        pr.deadline.observe(obs);
-                    }
-                }
-                let repairs = (outcome.recoveries - recoveries_before) as i64;
-                if repairs > 0 {
-                    self.telemetry.count(settle, "core.loop.repairs", repairs);
-                }
-                if !repair_obs.is_empty() {
-                    monitor.advance_to(settle + SimDuration::from_millis(5));
-                    // Post-repair comparisons should now match; drop any
-                    // residual transient error raised by the repair burst,
-                    // and the repair-path block coverage with it.
-                    let _ = monitor.drain_errors();
-                    let _ = tv.take_coverage();
-                }
-                // Comparator errors since the last snapshot mark the step
-                // failing and re-rank the in-loop suspect window. Recording
-                // after the residual drain keeps repair transients from
-                // spilling a failing verdict onto the next step.
-                monitor.record_coverage(&press_coverage);
-            }
-
-            // User-visible failure check against the oracle.
-            outcome.steps += 1;
-            // Allocation-free deviation check (semantics of
-            // `ObsValue::distance` against the would-be expected value,
-            // without materializing it: text mismatch or cross-kind
-            // comparison deviates; numeric deviation beyond the epsilon
-            // deviates; a NaN expectation never does).
-            let deviates = ref_state.iter().any(|(name, expected)| {
-                sys_state.get(name).is_some_and(|actual| match expected {
-                    Value::Str(s) => actual.as_text() != Some(s.as_str()),
-                    other => {
-                        let expected_num = other.as_f64().unwrap_or(f64::NAN);
-                        match actual.as_num() {
-                            Some(a) => (expected_num - a).abs() > 1e-9,
-                            None => true,
-                        }
-                    }
-                })
-            });
-            if deviates {
-                outcome.failure_steps += 1;
-                self.telemetry
-                    .metric_incr("core.loop.user_visible_failures", 1);
-            }
-            // Checkpoint cadence runs after this step's detections so a
-            // unit flagged dirty just now is never sealed.
-            if let Some(rs) = recovery.as_mut() {
-                rs.maybe_checkpoint(&tv, *at, &self.telemetry);
-            }
-            // Close the step span after everything the step stamped (the
-            // closed-loop settle window reaches `at + 25 ms`).
-            let step_end = if self.closed {
-                *at + SimDuration::from_millis(25)
-            } else {
-                *at
-            };
+            stepper.press(at, key);
+            // Close the step span after everything the step stamped.
+            let step_end = if self.closed { at + STEP_WINDOW } else { at };
             self.telemetry.span_exit(step_end, "core.loop.step");
         }
-
-        // Obligation epilogue: an armed sleep timer must still fire past
-        // the last press. The expiry is driven on the TV alone and fed
-        // only to the deadline monitor — the spec machine does not model
-        // autonomous power-down, so routing it through the comparator
-        // would raise a phantom divergence on healthy twins.
-        if let Some(pr) = probes.as_mut() {
-            if let Some(due) = pr.deadline.fire_deadline() {
-                for obs in tv.tick(due) {
-                    pr.deadline.observe(&obs);
-                }
-                let late = due + SimDuration::from_millis(1);
-                let missed = pr.deadline.tick(late);
-                if !missed.is_empty() {
-                    outcome.detected_errors += missed.len();
-                    first_detect_at.get_or_insert(late);
-                    self.telemetry
-                        .count(late, "core.probes.detections", missed.len() as i64);
-                }
-            }
-        }
-
-        outcome.detection_latency = match (first_fault_at, first_detect_at) {
-            (Some(f), Some(d)) if d >= f => Some(d.since(f)),
-            _ => None,
-        };
-        if let Some(monitor) = monitor.as_ref() {
-            let (input, output) = (monitor.input_channel(), monitor.output_channel());
-            outcome.channels = Some(ChannelAudit {
-                sent: input.sent() + output.sent(),
-                delivered: input.delivered() + output.delivered(),
-                lost: input.lost() + output.lost(),
-                in_flight: (input.in_flight() + output.in_flight()) as u64,
-            });
-            outcome.safe_mode_entries = monitor
-                .supervisor_report()
-                .map_or(0, |report| report.safe_mode_entries);
-            outcome.ladder_rung = monitor.supervisor_report().map_or(0, |report| {
-                if report.safe_mode_entries > 0 {
-                    5
-                } else if report.monitor_restarts > 0 {
-                    4
-                } else if report.micro_reboots > 0 {
-                    3
-                } else if report.channel_restarts > 0 {
-                    2
-                } else if report.retries > 0 {
-                    1
-                } else {
-                    0
-                }
-            });
-            if let Some(diag) = monitor.diagnosis() {
-                outcome.diagnoses_triggered = diag.triggered_diagnoses();
-                outcome.top_suspects = diag.top_suspects().iter().map(|e| e.block).collect();
-            }
-        }
-        if let Some(rs) = recovery.as_ref() {
-            outcome.checkpoint_generations = rs.vault.latest_generations();
-            outcome.reboot_mttr = rs.mean_mttr();
-        }
-        outcome
+        stepper.finish()
     }
 }
 
