@@ -11,10 +11,10 @@
 //! engine drifted since the dump was captured (or the dump was
 //! tampered with), and the report says so honestly.
 //!
-//! The parser inverts exactly the hand-rendered JSON this workspace
-//! emits (`telemetry::Json`): compact separators, `\"` `\\` `\n` `\r`
-//! `\t` shorthands, and lowercase `\uXXXX` for the remaining control
-//! characters.
+//! The header is read back with `telemetry::Json::parse`, the inverse of
+//! the renderer that wrote it.
+
+use telemetry::Json;
 
 use crate::campaign::CampaignSpec;
 use crate::invariants::check_invariants;
@@ -65,13 +65,34 @@ impl ReplayReport {
 /// a fingerprint mismatch is a *result*, reported in the returned
 /// [`ReplayReport`], not an error.
 pub fn replay_dump(dump: &str) -> Result<ReplayReport, String> {
-    let header = dump
+    let line = dump
         .lines()
         .find(|line| line.contains("\"type\":\"forensic_header\""))
         .ok_or_else(|| "no forensic_header line in dump".to_string())?;
-    let seed = parse_int_field(header, "seed")? as u64;
-    let recorded_fingerprint = parse_str_field(header, "fingerprint")?;
-    let violations_recorded = parse_str_array_field(header, "violations")?;
+    let header = Json::parse(line)?;
+    let field = |key: &str| {
+        header
+            .get(key)
+            .ok_or_else(|| format!("field {key:?} missing from header"))
+    };
+    // The header writes the seed as a signed `Json::Int`: a seed at or
+    // above 2^63 reads back negative and casts back exactly.
+    let seed = field("seed")?
+        .as_i64()
+        .ok_or("field \"seed\": expected an integer")? as u64;
+    let recorded_fingerprint = field("fingerprint")?
+        .as_str()
+        .ok_or("field \"fingerprint\": expected a string")?
+        .to_string();
+    let violations = field("violations")?;
+    let violations_recorded = match violations {
+        Json::Array(items) => items
+            .iter()
+            .map(|item| item.as_str().map(str::to_string))
+            .collect::<Option<Vec<_>>>(),
+        _ => None,
+    }
+    .ok_or("field \"violations\": expected an array of strings")?;
 
     let outcome = CampaignSpec::from_seed(seed).run();
     let replayed_fingerprint = format!("{:016x}", outcome.fingerprint());
@@ -86,126 +107,31 @@ pub fn replay_dump(dump: &str) -> Result<ReplayReport, String> {
     })
 }
 
-/// Finds `"key":` in `line` and returns the slice starting right after
-/// the colon.
-fn field_start<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pattern = format!("\"{key}\":");
-    let idx = line
-        .find(&pattern)
-        .ok_or_else(|| format!("field {key:?} missing from header"))?;
-    Ok(&line[idx + pattern.len()..])
-}
-
-fn parse_int_field(line: &str, key: &str) -> Result<i64, String> {
-    let rest = field_start(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-fn parse_str_field(line: &str, key: &str) -> Result<String, String> {
-    let rest = field_start(line, key)?;
-    parse_json_string(rest).map(|(value, _)| value)
-}
-
-fn parse_str_array_field(line: &str, key: &str) -> Result<Vec<String>, String> {
-    let mut rest = field_start(line, key)?;
-    rest = rest
-        .strip_prefix('[')
-        .ok_or_else(|| format!("field {key:?}: expected array"))?;
-    let mut values = Vec::new();
-    if let Some(after) = rest.strip_prefix(']') {
-        let _ = after;
-        return Ok(values);
-    }
-    loop {
-        let (value, after) = parse_json_string(rest)?;
-        values.push(value);
-        if let Some(after_comma) = after.strip_prefix(',') {
-            rest = after_comma;
-        } else {
-            after
-                .strip_prefix(']')
-                .ok_or_else(|| format!("field {key:?}: unterminated array"))?;
-            return Ok(values);
-        }
-    }
-}
-
-/// Decodes one JSON string starting at the opening quote; returns the
-/// decoded value and the remainder after the closing quote. Inverts
-/// `telemetry::json`'s escaping exactly.
-fn parse_json_string(s: &str) -> Result<(String, &str), String> {
-    let bytes = s.as_bytes();
-    if bytes.first() != Some(&b'"') {
-        return Err(format!("expected string at {:?}", &s[..s.len().min(20)]));
-    }
-    let mut out = String::new();
-    let mut i = 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Ok((out, &s[i + 1..])),
-            b'\\' => {
-                let esc = *bytes
-                    .get(i + 1)
-                    .ok_or_else(|| "truncated escape".to_string())?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = s
-                            .get(i + 2..i + 6)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("invalid code point {code:#x}"))?,
-                        );
-                        i += 4;
-                    }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
-                }
-                i += 2;
-            }
-            _ => {
-                let ch = s[i..].chars().next().expect("in-bounds char boundary");
-                out.push(ch);
-                i += ch.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forensics::ForensicReport;
-    use telemetry::{Json, Telemetry};
+    use telemetry::Telemetry;
 
     #[test]
     fn replay_reproduces_a_byte_identical_fingerprint() {
-        let telemetry = Telemetry::recording(1024);
-        let spec = CampaignSpec::from_seed(7);
-        let outcome = spec.run_with(&telemetry);
-        let report = ForensicReport::capture(&outcome, &telemetry, check_invariants(&outcome));
-        let dump = report.to_jsonl();
+        // A seed at or above 2^63 is rendered as a negative integer.
+        for seed in [7, (1 << 63) + 7] {
+            let telemetry = Telemetry::recording(1024);
+            let spec = CampaignSpec::from_seed(seed);
+            let outcome = spec.run_with(&telemetry);
+            let report = ForensicReport::capture(&outcome, &telemetry, check_invariants(&outcome));
+            let dump = report.to_jsonl();
 
-        let replay = replay_dump(&dump).expect("dump parses");
-        assert_eq!(replay.seed, 7);
-        assert!(replay.is_identical(), "{}", replay.render());
-        assert_eq!(
-            replay.recorded_fingerprint,
-            format!("{:016x}", outcome.fingerprint())
-        );
-        assert!(replay.render().contains("byte-identical"));
+            let replay = replay_dump(&dump).expect("dump parses");
+            assert_eq!(replay.seed, seed);
+            assert!(replay.is_identical(), "{}", replay.render());
+            assert_eq!(
+                replay.recorded_fingerprint,
+                format!("{:016x}", outcome.fingerprint())
+            );
+            assert!(replay.render().contains("byte-identical"));
+        }
     }
 
     #[test]
@@ -233,24 +159,16 @@ mod tests {
     }
 
     #[test]
-    fn string_parser_inverts_the_json_renderer_exactly() {
-        // Every escape class the renderer emits: quote, backslash, the
-        // three shorthands, a \u control character, and multi-byte
-        // UTF-8 passed through verbatim.
-        let nasty = "a\"b\\c\nd\re\tf\u{7}g\u{1f}héλ";
-        let rendered = Json::Str(nasty.to_string()).render();
-        let (decoded, rest) = parse_json_string(&rendered).expect("parses");
-        assert_eq!(decoded, nasty);
-        assert!(rest.is_empty());
-    }
-
-    #[test]
     fn violations_with_embedded_quotes_round_trip_through_the_header() {
         let telemetry = Telemetry::recording(64);
         let outcome = CampaignSpec::from_seed(3).run_with(&telemetry);
         let violations = vec![
             "closed arm \"failed\" [worse]".to_string(),
             "tab\there, newline\nthere".to_string(),
+            // Every escape class the renderer emits: quote, backslash,
+            // the three shorthands, a \u control character, and
+            // multi-byte UTF-8 passed through verbatim.
+            "a\"b\\c\nd\re\tf\u{7}g\u{1f}héλ".to_string(),
         ];
         let dump = ForensicReport::capture(&outcome, &telemetry, violations.clone()).to_jsonl();
         let replay = replay_dump(&dump).expect("dump parses");
