@@ -811,19 +811,15 @@ impl<'m> Stepper<'m> {
         }
     }
 
-    /// The correction strategy: attributes every settled error to the
-    /// pipeline unit it indicts, then either reboots structurally
-    /// ([`RecoveryState`]) or applies the targeted repairs. The repair
-    /// (or reboot-announcement) burst is mirrored and fed back to the
-    /// arm, which settles another [`RESIDUAL`]: post-repair comparisons
-    /// should match again, so any residual transient error the burst
-    /// raised is dropped. Returns whether there was such a burst.
-    fn correct(
-        &mut self,
-        at: SimTime,
-        comparator_errors: &[DetectedError],
-        origin: Origin,
-    ) -> bool {
+    /// The correction strategy: attributes every settled error (the
+    /// comparator `errors` from [`settle`](Self::settle) and the detector
+    /// errors) to the pipeline unit it indicts, then either reboots
+    /// structurally ([`RecoveryState`]) or applies the targeted repairs.
+    /// The repair (or reboot-announcement) burst is mirrored and fed back
+    /// to the arm, which settles another [`RESIDUAL`]: post-repair
+    /// comparisons should match again, so any residual transient error
+    /// the burst raised is dropped. Returns whether there was a burst.
+    fn correct(&mut self, at: SimTime, errors: &[DetectedError], origin: Origin) -> bool {
         let Some(arm) = self.arm.as_mut() else {
             return false;
         };
@@ -833,16 +829,16 @@ impl<'m> Stepper<'m> {
         repair_obs.clear();
         if let Some(rs) = arm.recovery.as_mut() {
             // Structural recovery: reboot the faulty unit (micro) or the
-            // whole TV (full restart).
-            let faulty: BTreeSet<&'static str> = detector_errors
-                .iter()
-                .filter_map(|err| detector_unit(&err.detector))
-                .chain(
-                    comparator_errors
-                        .iter()
-                        .filter_map(|err| observable_unit(&err.observable)),
-                )
-                .collect();
+            // whole TV (full restart). The indicted units are gathered
+            // with `extend`, which inserts one by one; `collect` would
+            // first buffer and sort a vector, one more allocation.
+            let mut faulty = BTreeSet::new();
+            faulty.extend(
+                detector_errors
+                    .iter()
+                    .filter_map(|e| detector_unit(&e.detector)),
+            );
+            faulty.extend(errors.iter().filter_map(|e| observable_unit(&e.observable)));
             // Indicted units are no longer checkpoint-clean.
             rs.dirty.extend(&faulty);
             if let Some(&unit) = faulty.first() {
@@ -865,7 +861,7 @@ impl<'m> Stepper<'m> {
                 repair_obs.extend(self.tv.resync_teletext(at));
                 self.outcome.recoveries += 1;
             }
-            for err in comparator_errors {
+            for err in errors {
                 match err.observable.as_str() {
                     "audio.muted" | "volume" => {
                         let want_muted = self
