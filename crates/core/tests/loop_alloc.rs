@@ -14,13 +14,13 @@
 //! thread (a `const`-initialised thread-local counter), so the tests in
 //! this binary can run in parallel without counting each other's
 //! allocations. The budget below is calibrated against what the rest of
-//! the step
-//! genuinely needs (the SUO's observation vector and its `String`
-//! payloads, channel traffic, the coverage snapshot). Measured on this
-//! scenario in release mode: ~175 allocation calls per closed-loop
-//! press before the scratch/executor refactor, 20 after — the oracle
-//! executor alone dropped from ~78 to ~3 by borrowing transitions and
-//! entry/exit actions from the machine instead of cloning them.
+//! the step genuinely needs (the SUO's observation vector and its
+//! `String` payloads, channel traffic, the coverage snapshot). Measured
+//! on this scenario in release mode: ~175 allocation calls per
+//! closed-loop press before the scratch/executor refactor, 20 after —
+//! the oracle executor alone dropped from ~78 to ~3 by borrowing
+//! transitions and entry/exit actions from the machine instead of
+//! cloning them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
