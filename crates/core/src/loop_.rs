@@ -410,7 +410,7 @@ impl ProbeRuntime {
     }
 
     /// Records probe `plan`'s verdict, and a transition when it changed.
-    fn verdict(&mut self, plan: usize, verdict: &'static str, at: SimTime, telemetry: &Telemetry) {
+    fn record(&mut self, plan: usize, verdict: &'static str, at: SimTime, telemetry: &Telemetry) {
         let last = std::mem::replace(&mut self.verdicts[plan], verdict);
         if last != verdict {
             telemetry.transition(at, PROBES[plan].2, last, verdict);
@@ -676,7 +676,7 @@ impl<'m> Stepper<'m> {
         if let Some(arm) = self.arm.as_mut() {
             arm.monitor.absorb_synthetic_errors();
             if let Some(pr) = arm.probes.as_mut() {
-                pr.verdict(firing.plan, verdict, settle, &self.telemetry);
+                pr.record(firing.plan, verdict, settle, &self.telemetry);
             }
         }
         self.telemetry.span_exit(settle, "core.probes.burst");
